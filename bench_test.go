@@ -8,6 +8,7 @@
 package repro
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -867,4 +868,43 @@ func BenchmarkRouterSolveFanout(b *testing.B) {
 			}
 		}
 	})
+}
+
+// Cluster router factor write path: a caller-supplied 256x256 matrix
+// as JSON through the router to its owner shard, plus replication —
+// the request the router forwards without re-encoding and the shard
+// parses on its fast path.
+func BenchmarkRouterFactorJSON(b *testing.B) {
+	c, err := harness.Start(harness.Options{Shards: 3, Replicas: 2, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 256
+	a := RandomMatrix(n, n, 11)
+	data := make([]float64, 0, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			data = append(data, a.At(i, j))
+		}
+	}
+	body, err := json.Marshal(map[string]any{"rows": n, "cols": n, "data": data, "workers": 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := http.Post(c.URL()+"/v1/factor", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			b.Fatalf("factor: status %d", r.StatusCode)
+		}
+	}
 }

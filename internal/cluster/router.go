@@ -11,9 +11,12 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/jsonbody"
 )
 
 // ShardInfo names one engine shard and where to reach it.
@@ -633,8 +636,11 @@ func (rt *Router) readPost(w http.ResponseWriter, r *http.Request, want string) 
 		httpError(w, http.StatusUnsupportedMediaType, "send Content-Type: "+want)
 		return nil, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, rt.opt.MaxBody)
-	body, err := io.ReadAll(r.Body)
+	// A bytes.Buffer doubles as it grows; io.ReadAll grows a
+	// megabyte-sized buffer by about a quarter at a time and copies
+	// it about five times over.
+	var buf bytes.Buffer
+	_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, rt.opt.MaxBody))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -645,7 +651,7 @@ func (rt *Router) readPost(w http.ResponseWriter, r *http.Request, want string) 
 		}
 		return nil, false
 	}
-	return body, true
+	return buf.Bytes(), true
 }
 
 // relay copies a shard response through to the client.
@@ -661,6 +667,51 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	io.Copy(w, resp.Body)
 }
 
+// factorBody is a client factor request the router has checked: valid
+// JSON, an object at the top level, and no "id" member.
+type factorBody struct {
+	raw   []byte
+	close int  // offset of the object's closing brace
+	empty bool // the object has no members
+}
+
+// parseFactorBody checks a client factor body without decoding its
+// values: the router forwards the client's own bytes.
+func parseFactorBody(raw []byte) (factorBody, error) {
+	if !json.Valid(raw) {
+		// Unmarshal runs the same validity scan first, so it returns
+		// the syntax error without decoding anything.
+		var v json.RawMessage
+		return factorBody{}, fmt.Errorf("invalid JSON: %w", json.Unmarshal(raw, &v))
+	}
+	members, end, err := jsonbody.Object(raw)
+	if err != nil {
+		return factorBody{}, fmt.Errorf("invalid JSON: %w", err)
+	}
+	for _, m := range members {
+		if m.Key == "id" {
+			return factorBody{}, errors.New("id is router-assigned; do not supply one")
+		}
+	}
+	return factorBody{raw: raw, close: end, empty: len(members) == 0}, nil
+}
+
+// withID returns the client's bytes with "id":key added as the
+// object's last member. It must be last: encoding/json lets the last
+// case-insensitive match win, so a client "ID" or "Id" member cannot
+// override the router's key. Router keys are plain ASCII, so Go and
+// JSON quoting agree.
+func (f factorBody) withID(key string) []byte {
+	out := make([]byte, 0, len(f.raw)+len(key)+8)
+	out = append(out, f.raw[:f.close]...)
+	if !f.empty {
+		out = append(out, ',')
+	}
+	out = append(out, `"id":`...)
+	out = strconv.AppendQuote(out, key)
+	return append(out, f.raw[f.close:]...)
+}
+
 // handleFactor places a factor job: the router assigns the key, hashes
 // it to an owner set, factors on the first placeable owner, then fans
 // the serialized factorization out to the rest of the set.
@@ -669,13 +720,9 @@ func (rt *Router) handleFactor(w http.ResponseWriter, r *http.Request, chol bool
 	if !ok {
 		return
 	}
-	var raw map[string]any
-	if err := json.Unmarshal(body, &raw); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
-	}
-	if _, has := raw["id"]; has {
-		httpError(w, http.StatusBadRequest, "id is router-assigned; do not supply one")
+	fb, err := parseFactorBody(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	prefix, path := "f", "/v1/factor"
@@ -683,12 +730,7 @@ func (rt *Router) handleFactor(w http.ResponseWriter, r *http.Request, chol bool
 		prefix, path = "c", "/v1/cholesky"
 	}
 	key := fmt.Sprintf("%s-%d", prefix, rt.seq.Add(1))
-	raw["id"] = key
-	fwd, err := json.Marshal(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "could not re-encode request: "+err.Error())
-		return
-	}
+	fwd := fb.withID(key)
 	owners := rt.ownerSet(key)
 	rt.factors.Add(1)
 

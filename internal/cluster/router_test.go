@@ -485,3 +485,82 @@ func TestClusterJoinDoesNotResurrectEvictedShard(t *testing.T) {
 		t.Fatalf("live shards missing from the installed ring: members %v", rt.Stats().RingMembers)
 	}
 }
+
+// TestClusterFactorRejectsNonObjectBody: a factor body whose top-level
+// value is not an object is a JSON 400 on both factor routes. A null
+// body used to panic the handler and drop the connection.
+func TestClusterFactorRejectsNonObjectBody(t *testing.T) {
+	c, err := harness.Start(harness.Options{Shards: 2, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, path := range []string{"/v1/factor", "/v1/cholesky"} {
+		for _, body := range []string{`null`, `[]`, `3`, `"s"`, ` null `} {
+			code, out := postJSON(t, c.URL()+path, body)
+			if code != http.StatusBadRequest {
+				t.Fatalf("%s with body %s: %d %v, want 400", path, body, code, out)
+			}
+			if msg, _ := out["error"].(string); msg == "" {
+				t.Fatalf("%s with body %s: 400 without an error message: %v", path, body, out)
+			}
+		}
+	}
+	if st := c.Router.Stats(); st.Factors != 0 {
+		t.Fatalf("rejected bodies were placed: %d factors", st.Factors)
+	}
+}
+
+// TestClusterRouterKeyIsAuthoritative: the router appends its key as
+// the forwarded body's last member, so client members that merely
+// case-fold to "id" cannot override it, while an exact "id" — escaped
+// or not — is still refused.
+func TestClusterRouterKeyIsAuthoritative(t *testing.T) {
+	c, err := harness.Start(harness.Options{Shards: 3, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 8
+	for _, name := range []string{"ID", "Id"} {
+		body := fmt.Sprintf(`{%q:"x","n":%d,"seed":4,"workers":1}`, name, n)
+		code, out := postJSON(t, c.URL()+"/v1/factor", body)
+		if code != http.StatusOK {
+			t.Fatalf("factor with client %q member: %d %v", name, code, out)
+		}
+		id, _ := out["id"].(string)
+		if !strings.HasPrefix(id, "f-") {
+			t.Fatalf("client %q member: reply id %q, want the router's f-N key", name, id)
+		}
+		holders := c.Router.Holders(id)
+		if len(holders) != 2 {
+			t.Fatalf("key %s holders %v, want 2", id, holders)
+		}
+		for _, h := range holders {
+			store := c.Shard(h).Server.Store()
+			if _, ok := store.Get(id); !ok {
+				t.Fatalf("holder %s does not hold %s", h, id)
+			}
+			if _, ok := store.Get("x"); ok {
+				t.Fatalf("holder %s stored the client's %q value as a key", h, name)
+			}
+		}
+		if code, out := solveVia(t, c.URL(), id, n); code != http.StatusOK {
+			t.Fatalf("solve %s: %d %v", id, code, out)
+		}
+	}
+
+	code, out := postJSON(t, c.URL()+"/v1/factor", `{"\u0069d":"x","n":8,"seed":1,"workers":1}`)
+	if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), "router-assigned") {
+		t.Fatalf("escaped exact id: %d %v, want the router's 400", code, out)
+	}
+
+	// An empty object is forwarded as {"id":...}: the shard decodes it
+	// and refuses it for having no matrix, not for its syntax.
+	code, out = postJSON(t, c.URL()+"/v1/factor", `{}`)
+	if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), "need either n > 0") {
+		t.Fatalf("empty object: %d %v, want the shard's missing-matrix 400", code, out)
+	}
+}

@@ -20,6 +20,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,6 +35,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/jsonbody"
 	"repro/internal/layout"
 	"repro/internal/mat"
 )
@@ -260,8 +262,10 @@ func drainError(w http.ResponseWriter) {
 // not JSON was almost certainly not meant for this API), the body
 // capped at maxBody (413) and exactly one JSON value in it — trailing
 // garbage after the value (a second JSON document, stray bytes) is a
-// malformed request, not something to silently ignore.
-func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
+// malformed request, not something to silently ignore. fast, when not
+// nil, may decode the whole body itself; a body it declines goes
+// through the stdlib decoder, which owns every error reply.
+func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any, fast func([]byte) bool) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed, use POST", r.Method)
@@ -275,7 +279,22 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool 
 			return false
 		}
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	// A bytes.Buffer doubles as it grows; io.ReadAll grows a
+	// megabyte-sized buffer by about a quarter at a time and copies
+	// it about five times over.
+	var buf bytes.Buffer
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body := buf.Bytes()
+	if err == nil && fast != nil && fast(body) {
+		return true
+	}
+	var src io.Reader = bytes.NewReader(body)
+	if err != nil {
+		// Replay the bytes read, then the read error: the decoder then
+		// answers exactly as if it had streamed the body itself.
+		src = io.MultiReader(src, failReader{err})
+	}
+	dec := json.NewDecoder(src)
 	if err := dec.Decode(v); err != nil {
 		bodyError(w, err)
 		return false
@@ -288,6 +307,55 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool 
 		httpError(w, http.StatusBadRequest, "bad request: trailing data after JSON body")
 		return false
 	}
+	return true
+}
+
+// failReader returns err from every Read.
+type failReader struct{ err error }
+
+func (f failReader) Read([]byte) (int, error) { return 0, f.err }
+
+// decodeFactorFast decodes a factor body without running
+// encoding/json over the matrix. The top-level "data" array is parsed
+// straight into []float64 with strconv.ParseFloat, the call
+// encoding/json makes, so the values are bit-identical; every other
+// field is decoded by encoding/json from the body with the array
+// replaced by null. Between them the two checks cover every byte, so
+// the body needs no separate validity pass. It declines, leaving req
+// untouched, any body it does not fully accept: invalid JSON or
+// trailing data, no "data" member, a second member whose key
+// case-folds to "data", or an element that is not a number.
+func decodeFactorFast(body []byte, req *factorRequest) bool {
+	members, _, err := jsonbody.Object(body)
+	if err != nil {
+		return false
+	}
+	var data *jsonbody.Member
+	for i, m := range members {
+		if strings.EqualFold(m.Key, "data") {
+			if m.Key != "data" || data != nil {
+				return false
+			}
+			data = &members[i]
+		}
+	}
+	if data == nil {
+		return false
+	}
+	vals, ok := jsonbody.Floats(body[data.Start:data.End])
+	if !ok {
+		return false
+	}
+	rest := make([]byte, 0, len(body)-(data.End-data.Start)+len("null"))
+	rest = append(rest, body[:data.Start]...)
+	rest = append(rest, "null"...)
+	rest = append(rest, body[data.End:]...)
+	var out factorRequest
+	if json.Unmarshal(rest, &out) != nil {
+		return false
+	}
+	out.Data = vals
+	*req = out
 	return true
 }
 
@@ -354,7 +422,7 @@ func solveError(w http.ResponseWriter, err error) {
 // (chol=true).
 func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, chol bool) {
 	var req factorRequest
-	if !s.decodePost(w, r, &req) {
+	if !s.decodePost(w, r, &req, func(body []byte) bool { return decodeFactorFast(body, &req) }) {
 		return
 	}
 	if s.draining.Load() {
@@ -423,7 +491,7 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, chol bool)
 // (cholesky ids only).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, wantChol bool) {
 	var req solveRequest
-	if !s.decodePost(w, r, &req) {
+	if !s.decodePost(w, r, &req, nil) {
 		return
 	}
 	if s.draining.Load() {
@@ -608,7 +676,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 // and reports not-ready. Idempotent.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req struct{}
-	if !s.decodePost(w, r, &req) {
+	if !s.decodePost(w, r, &req, nil) {
 		return
 	}
 	s.draining.Store(true)
