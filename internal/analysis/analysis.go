@@ -13,8 +13,7 @@
 //   - atomicfield: a field or package variable accessed through
 //     sync/atomic anywhere must never be read or written plainly.
 //   - pairing: kernel.Reserve acquisitions need Release reachable on
-//     every exit path, and arming a panel-carrying graph (ResetDeps)
-//     needs ReleasePanels.
+//     every exit path.
 //   - handlerguard: HTTP handlers must enforce method + Content-Type
 //     before decoding a request body.
 //

@@ -5,11 +5,9 @@ import (
 	"go/types"
 )
 
-// Pairing enforces the two acquire/release contracts the runtime's
-// memory accounting rests on:
-//
-// Rule A — a value acquired from a package-level Reserve function
-// (one whose single result has a Release method, i.e.
+// Pairing enforces the acquire/release contract the kernel's
+// workspace accounting rests on: a value acquired from a package-level
+// Reserve function (one whose single result has a Release method, i.e.
 // kernel.Reserve's *Reservation) must not leak: the result must not be
 // discarded, and a function that keeps it in a local must have Release
 // reachable on every exit path — a deferred Release, a call on every
@@ -17,19 +15,12 @@ import (
 // storing it in a struct, passing it on), which transfers ownership to
 // the recipient.
 //
-// Rule B — arming a graph that carries shared panels: a call to
-// ResetDeps on a value whose type also has ReleasePanels must have
-// ReleasePanels reachable in the same function, unless the value was
-// received from elsewhere (a parameter or a struct field), in which
-// case the owner is responsible — the rt executor releases panels in
-// Wait, covering both completion and abort.
-//
 // The analysis is per-function and intentionally conservative inside
 // loops and switches: a Release inside a loop body does not count as
 // covering code after the loop (the loop may run zero times).
 var Pairing = &Analyzer{
 	Name: "pairing",
-	Doc:  "Reserve acquisitions need Release, and ResetDeps on panel-carrying graphs needs ReleasePanels, on every exit path",
+	Doc:  "Reserve acquisitions need Release on every exit path",
 	Run:  runPairing,
 }
 
@@ -37,7 +28,6 @@ func runPairing(prog *Program, r *Reporter) {
 	for _, pkg := range prog.Packages {
 		pkg.eachFuncDecl(func(fd *ast.FuncDecl) {
 			checkReservePairing(pkg, fd, r)
-			checkPanelPairing(pkg, fd, r)
 		})
 	}
 }
@@ -370,84 +360,4 @@ func nodePath(root ast.Node, target ast.Node) []ast.Node {
 		return true
 	})
 	return path
-}
-
-// ---------------------------------------------------------------------
-// Rule B: ResetDeps / ReleasePanels.
-
-func checkPanelPairing(pkg *Package, fd *ast.FuncDecl, r *Reporter) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "ResetDeps" {
-			return true
-		}
-		recvType := pkg.Info.Types[sel.X].Type
-		if recvType == nil || !hasMethod(namedOrPointee(recvType), "ReleasePanels") {
-			return true
-		}
-		switch x := ast.Unparen(sel.X).(type) {
-		case *ast.SelectorExpr:
-			// A field (e.g. the executor's e.g): its owner releases in
-			// its own lifecycle (rt.Wait pairs ReleasePanels with every
-			// outcome).
-			return true
-		case *ast.Ident:
-			v, _ := pkg.Info.Uses[x].(*types.Var)
-			if v == nil {
-				return true
-			}
-			if isParamOf(pkg, fd, v) {
-				// Caller-owned graph: the caller armed us with it and
-				// keeps responsibility for panel reclamation.
-				return true
-			}
-			if !callsMethodOn(pkg, fd, v, "ReleasePanels") {
-				r.Reportf(call.Pos(), "%s.ResetDeps() arms shared panels but %s.ReleasePanels() is not called in %s: panel budget leaks if a job aborts", v.Name(), v.Name(), fd.Name.Name)
-			}
-		}
-		return true
-	})
-}
-
-// isParamOf reports whether v is a parameter (or receiver) of fd.
-func isParamOf(pkg *Package, fd *ast.FuncDecl, v *types.Var) bool {
-	check := func(fl *ast.FieldList) bool {
-		if fl == nil {
-			return false
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if pkg.Info.Defs[name] == v {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return check(fd.Recv) || check(fd.Type.Params)
-}
-
-// callsMethodOn reports whether fd contains a call (or deferred call)
-// of v.<name>().
-func callsMethodOn(pkg *Package, fd *ast.FuncDecl, v *types.Var, name string) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != name {
-			return true
-		}
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && pkg.Info.Uses[id] == v {
-			found = true
-		}
-		return true
-	})
-	return found
 }

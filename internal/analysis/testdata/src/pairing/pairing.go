@@ -1,7 +1,5 @@
 // Package pairing is the pairing analyzer corpus: Reserve results need
-// Release on every exit path, and ResetDeps on a panel-carrying graph
-// needs ReleasePanels in the same function unless the graph is owned
-// elsewhere.
+// Release on every exit path.
 package pairing
 
 // Reservation mimics kernel.Reservation.
@@ -98,50 +96,4 @@ func allowedLeak() {
 	//hsd:allow pairing process-lifetime reservation, reclaimed by the OS at exit
 	ws := Reserve(1)
 	_ = ws.Slice(0)
-}
-
-// ---------------------------------------------------------------------
-// ResetDeps / ReleasePanels.
-
-// Graph mimics dag.Graph's panel-carrying surface.
-type Graph struct{ armed bool }
-
-func (g *Graph) ResetDeps()     { g.armed = true }
-func (g *Graph) ReleasePanels() {}
-
-// PlainGraph carries no panels; ResetDeps alone is fine.
-type PlainGraph struct{ armed bool }
-
-func (g *PlainGraph) ResetDeps() { g.armed = true }
-
-func localLeak() {
-	g := &Graph{}
-	g.ResetDeps() // want `g.ResetDeps\(\) arms shared panels but g.ReleasePanels\(\) is not called`
-}
-
-// localPaired defers the panel release: clean.
-func localPaired() {
-	g := &Graph{}
-	g.ResetDeps()
-	defer g.ReleasePanels()
-}
-
-// paramOwned was handed the graph; the caller owns reclamation (the
-// rt.Run shape): clean.
-func paramOwned(g *Graph) {
-	g.ResetDeps()
-}
-
-type engine struct{ g *Graph }
-
-// fieldOwned arms a graph held in a struct field; the owner's
-// lifecycle releases (the executor's Wait): clean.
-func (e *engine) fieldOwned() {
-	e.g.ResetDeps()
-}
-
-// plainOK arms a graph with no panels to release: clean.
-func plainOK() {
-	g := &PlainGraph{}
-	g.ResetDeps()
 }

@@ -66,8 +66,8 @@ func ViaGated() int {
 	return Gated()
 }
 
-// GateAfterValidation runs profile-free validation before the gate,
-// like SharedBPanel.Gemm's nil fast path: clean.
+// GateAfterValidation runs profile-free validation before the gate:
+// clean.
 func GateAfterValidation(n int) int {
 	if n < 0 {
 		panic("bad n")

@@ -343,7 +343,10 @@ func (rt *Router) exportFrom(s *shardState, key string) ([]byte, error) {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("export %s from %s: status %d: %s", key, s.name, resp.StatusCode, bytes.TrimSpace(b))
 	}
-	return io.ReadAll(resp.Body)
+	// A bytes.Buffer, not io.ReadAll: see readPost.
+	var buf bytes.Buffer
+	_, err = buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // importTo ships serialized factorization bytes to a shard under key.

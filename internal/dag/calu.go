@@ -84,15 +84,6 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 	isStatic := func(col int) bool { return col < opt.NstaticCols }
 	span := func(i, ext int) int { return blockSpanOf(i, bsz, ext) }
 
-	// Epoch namespace for this build's shared packed-B panels: every S
-	// task of one (step, block column) pair multiplies by the same U
-	// block, so they share one packed copy of it through a refcounted
-	// handle instead of each packing privately.
-	var ep uint64
-	if !opt.SimOnly {
-		ep = kernel.NewEpoch()
-	}
-
 	// updPrev maps (blockRow, blockCol) -> the step-(K-1) S task that
 	// last wrote the block; nil map at step 0.
 	var updPrev map[[2]int]*Task
@@ -332,13 +323,6 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 		rowRuns := groupRows(l, k, mb, group)
 		for j := k + 1; j < nb; j++ {
 			cj := span(j, n)
-			// One shared packed copy of U_KJ for every S task in this
-			// (step, column) pair; nil (plain Gemm per task) when there is
-			// only one consumer or caching is off/over budget.
-			var ph *kernel.SharedBPanel
-			if !opt.SimOnly {
-				ph = b.panel(kernel.PanelKey{Epoch: ep, Col: j, Step: k}, len(rowRuns))
-			}
 			for _, run := range rowRuns {
 				i0 := run[0]
 				rows := runRows(l, i0, run[1])
@@ -363,7 +347,7 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 						ublk := l.Block(kk, jc)
 						bt := kernel.View{Rows: pivCount, Cols: ublk.Cols, Stride: ublk.Stride, Data: ublk.Data}
 						cv := l.GroupedRows(i0c, jc, wc)
-						ph.Gemm(cv, a, bt)
+						kernel.Gemm(cv, a, bt)
 					}
 				}
 				b.edge(uTasks[j], t)

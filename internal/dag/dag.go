@@ -14,8 +14,6 @@ package dag
 import (
 	"fmt"
 	"sync/atomic"
-
-	"repro/internal/kernel"
 )
 
 // Kind labels a task with the paper's taxonomy (section 2): P tasks
@@ -142,23 +140,6 @@ type Graph struct {
 	Workers int
 	// Name describes the algorithm for traces and error messages.
 	Name string
-	// Panels lists the shared packed-B panel handles the graph's Run
-	// closures consume (kernel.SharedBPanel). Each handle frees its
-	// buffer when its last consumer finishes; ReleasePanels reclaims the
-	// ones stranded by an aborted execution, and ResetDeps re-arms them
-	// alongside the dependency counters.
-	Panels []*kernel.SharedBPanel
-}
-
-// ReleasePanels force-frees every shared panel buffer still held by the
-// graph. Runtimes call it after workers have drained — on the success
-// path all handles are already freed by their last consumer and this is
-// a no-op; after an abort it reclaims the cache budget of panels whose
-// consumers never ran.
-func (g *Graph) ReleasePanels() {
-	for _, p := range g.Panels {
-		p.ForceFree()
-	}
 }
 
 // ResetDeps arms the graph for one execution: every task's remaining-
@@ -167,9 +148,6 @@ func (g *Graph) ReleasePanels() {
 // serial simulator's seeding deterministic. Must not run concurrently
 // with an execution of the same graph.
 func (g *Graph) ResetDeps() []*Task {
-	for _, p := range g.Panels {
-		p.Reset()
-	}
 	var ready []*Task
 	for _, t := range g.Tasks {
 		t.remaining.Store(t.NumDeps)
@@ -217,18 +195,6 @@ func (b *builder) add(t *Task) *Task {
 	t.ID = int32(len(b.g.Tasks))
 	b.g.Tasks = append(b.g.Tasks, t)
 	return t
-}
-
-// panel registers a shared packed-B panel handle with the graph so the
-// runtime can reclaim it after an aborted run. Nil handles (uses < 2,
-// or caching disabled) are skipped; the closures treat them as plain
-// Gemm calls.
-func (b *builder) panel(key kernel.PanelKey, uses int) *kernel.SharedBPanel {
-	p := kernel.NewSharedBPanel(key, uses)
-	if p != nil {
-		b.g.Panels = append(b.g.Panels, p)
-	}
-	return p
 }
 
 // edge makes `to` depend on `from`.

@@ -106,10 +106,6 @@ func Fuse(parts ...FusePart) *FusedGraph {
 	base := int32(0)
 	ownerOff := 0
 	for _, p := range parts {
-		// The clone's Run closures still consume the member's shared
-		// panel handles, so the fused graph adopts them for reset and
-		// abort-time reclamation.
-		fg.Panels = append(fg.Panels, p.G.Panels...)
 		n := int32(len(p.G.Tasks))
 		fg.Parts = append(fg.Parts, PartSpan{Label: p.Label, First: base, Tasks: n})
 		// left counts the member's unfinished tasks; the task that

@@ -88,12 +88,6 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 	// reader edges off the diagonal tasks are the complete hazard set.
 	prevW := make([]*Task, nb)
 
-	// Every RUpd of one sweep step multiplies by the same solved block
-	// X_k (final for the sweep once DSolve(k) ran), so the step's update
-	// tasks share one packed copy of it. Step 0/1 distinguishes the
-	// forward and backward sweeps of the same block row.
-	ep := kernel.NewEpoch()
-
 	// Forward sweep: X <- lower^{-1} X, block rows top to bottom.
 	for k := 0; k < nb; k++ {
 		kk := k
@@ -115,7 +109,6 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 		}
 		b.edge(prevW[k], diag)
 		prevW[k] = diag
-		ph := b.panel(kernel.PanelKey{Epoch: ep, Col: k, Step: 0}, nb-k-1)
 		for i := k + 1; i < nb; i++ {
 			ic := i
 			ri := span(i)
@@ -128,7 +121,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 				Prio:   priority(i, k, RUpd),
 			})
 			upd.Run = func() {
-				ph.Gemm(xblk(ic), tri(lower, ic, kk), xblk(kk))
+				kernel.Gemm(xblk(ic), tri(lower, ic, kk), xblk(kk))
 			}
 			b.edge(diag, upd)
 			b.edge(prevW[i], upd)
@@ -157,7 +150,6 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 		}
 		b.edge(prevW[k], diag)
 		prevW[k] = diag
-		ph := b.panel(kernel.PanelKey{Epoch: ep, Col: k, Step: 1}, k)
 		for i := k - 1; i >= 0; i-- {
 			ic := i
 			ri := span(i)
@@ -170,7 +162,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 				Prio:   priority(nb+(nb-1-i), pos, RUpd),
 			})
 			upd.Run = func() {
-				ph.Gemm(xblk(ic), tri(upper, ic, kk), xblk(kk))
+				kernel.Gemm(xblk(ic), tri(upper, ic, kk), xblk(kk))
 			}
 			b.edge(diag, upd)
 			b.edge(prevW[i], upd)

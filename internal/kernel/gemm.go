@@ -75,9 +75,7 @@ func gemmPacked(c, a, b View, bTrans bool) {
 
 // macroKernel sweeps mr x nr register tiles over one packed (A, B)
 // block pair, subtracting each micro-kernel result into C. Edge tiles
-// are computed at full padded width and masked at write-back. The
-// packed buffers are passed explicitly so the shared-panel path
-// (panelcache.go) can stream B from a cached buffer.
+// are computed at full padded width and masked at write-back.
 func macroKernel(c View, ap, bp []float64, ic, jc, mcLen, ncLen, kcLen int) {
 	var acc [maxMR * maxNR]float64
 	for jr := 0; jr < ncLen; jr += nr {

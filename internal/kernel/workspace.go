@@ -103,8 +103,7 @@ type Reservation struct {
 // it with the worker count before starting a run; the resident engine
 // holds one pool-wide reservation for its whole lifetime. n < 1
 // reserves nothing (the returned Reservation is still valid to
-// Release). The shared packed-panel cache's byte budget scales with the
-// reserved sum (panelcache.go), so a wider pool may cache more panels.
+// Release).
 func Reserve(n int) *Reservation {
 	ensureTuned()
 	if n < 1 {
@@ -122,10 +121,15 @@ func Reserve(n int) *Reservation {
 	for len(wsFree) < n || len(wsFree)+wsOut < wsReserved {
 		wsFree = append(wsFree, newWorkspace())
 	}
-	reserved := wsReserved
 	wsMu.Unlock()
-	pcSetSlots(reserved)
 	return &Reservation{n: n}
+}
+
+// ReservedSlots returns the sum of all live Reservation sizes.
+func ReservedSlots() int {
+	wsMu.Lock()
+	defer wsMu.Unlock()
+	return wsReserved
 }
 
 // Release returns the reservation. Idempotent: releasing twice is a
@@ -149,7 +153,5 @@ func (r *Reservation) Release() {
 		}
 		wsFree = wsFree[:cap]
 	}
-	reserved := wsReserved
 	wsMu.Unlock()
-	pcSetSlots(reserved)
 }

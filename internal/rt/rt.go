@@ -319,10 +319,6 @@ func (e *Executor) Wait() (Result, error) {
 	e.attachMu.Unlock()
 	e.waitOnce.Do(func() {
 		e.ws.Release()
-		// Workers have drained, so any shared panel handle still packed
-		// belongs to a task that never ran (aborted run) — reclaim its
-		// cache budget. A no-op on the success path.
-		e.g.ReleasePanels()
 		if e.n == 0 {
 			return
 		}

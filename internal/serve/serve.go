@@ -657,12 +657,13 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing id query parameter")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
+	// A bytes.Buffer, not io.ReadAll: see decodePost.
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
 		bodyError(w, err)
 		return
 	}
-	lu, chol, err := cluster.DecodeFactorization(body)
+	lu, chol, err := cluster.DecodeFactorization(buf.Bytes())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad factorization payload: %v", err)
 		return

@@ -292,14 +292,24 @@ func TestServeContentTypeRejected(t *testing.T) {
 	}
 }
 
-// TestServeBodyTooLarge: a body past the cap is 413, and the server
-// keeps working afterwards.
+// TestServeBodyTooLarge: a body past the cap is 413, on JSON and
+// import routes alike, and the server keeps working afterwards.
 func TestServeBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxBody: 128})
 	big := fmt.Sprintf(`{"n":8,"seed":1,"data":[%s1]}`, strings.Repeat("1,", 200))
 	resp, out := postJSON(t, ts.URL+"/v1/factor", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: %d %v, want 413", resp.StatusCode, out)
+	}
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/admin/import?id=x", bytes.NewReader(make([]byte, 256)))
+	req.Header.Set("Content-Type", "application/octet-stream")
+	imp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp.Body.Close()
+	if imp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized import: %d, want 413", imp.StatusCode)
 	}
 	resp, out = postJSON(t, ts.URL+"/v1/factor", `{"n":8,"workers":1}`)
 	if resp.StatusCode != http.StatusOK {
