@@ -248,6 +248,33 @@ func BenchmarkRealIncPivBaseline(b *testing.B) {
 	}
 }
 
+// BenchmarkEdgesFactor2048 times the data movement around a CALU
+// graph at the lib-factor shape (n=2048, b=128, BCL, 2 workers):
+// packing the input into the layout, then assembling (perm, L, U) with
+// the deferred left swaps. The graph runs once in setup; the finisher
+// leaves the layout untouched, so every iteration finishes the same
+// factored layout.
+func BenchmarkEdgesFactor2048(b *testing.B) {
+	const n, bs = 2048, 128
+	a := RandomMatrix(n, n, 1)
+	grid := layout.NewGrid(2)
+	cg := dag.BuildCALU(layout.New(layout.BCL, a, bs, grid), dag.CALUOptions{Group: 3})
+	if _, err := rt.Run(cg.Graph, sched.NewDynamic(), rt.Options{Workers: 2}); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edgeSink = layout.New(layout.BCL, a, bs, grid)
+		_, edgeL, edgeU = dag.FinishLU(cg.Layout, cg.StepSwaps)
+	}
+	b.SetBytes(3 * n * n * 8)
+}
+
+var (
+	edgeSink     layout.Layout
+	edgeL, edgeU *mat.Dense
+)
+
 // ---------------------------------------------------------------------
 // Kernel microbenchmarks.
 

@@ -57,8 +57,7 @@ func FactorGEPP(a *mat.Dense, opt GEPPOptions) (*core.Factorization, error) {
 	if err != nil {
 		return nil, err
 	}
-	perm := gg.FinishPermutation()
-	lf, uf := core.ExtractLU(l)
+	perm, lf, uf := dag.FinishLU(l, gg.StepSwaps)
 	return &core.Factorization{
 		Perm:     perm,
 		L:        lf,

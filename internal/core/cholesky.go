@@ -98,13 +98,10 @@ func (j *CholeskyJob) Policy() sched.Policy { return j.Opt.policy() }
 // Finish assembles the CholeskyFactorization after the graph has
 // executed to completion with the given runtime result.
 func (j *CholeskyJob) Finish(res rt.Result) *CholeskyFactorization {
-	d := j.cg.Layout.ToDense()
-	n := d.Rows
+	n, _, _ := j.cg.Layout.Dims()
 	lf := mat.New(n, n)
 	for c := 0; c < n; c++ {
-		for i := c; i < n; i++ {
-			lf.Set(i, c, d.At(i, c))
-		}
+		layout.ReadCol(j.cg.Layout, lf.Col(c)[c:], c, c)
 	}
 	out := &CholeskyFactorization{L: lf}
 	out.Makespan = res.Makespan

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/layout"
 	"repro/internal/mat"
+	"repro/internal/rt"
 )
 
 func TestCholeskyAllLayoutsAllSchedulers(t *testing.T) {
@@ -134,5 +135,37 @@ func TestCholeskyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCholeskyFinishMatchesDenseSplit pins CholeskyJob.Finish, which
+// copies each column's lower part straight out of the block views,
+// against materializing the factored layout and copying its lower
+// triangle element by element.
+func TestCholeskyFinishMatchesDenseSplit(t *testing.T) {
+	for _, kind := range []layout.Kind{layout.CM, layout.BCL, layout.TwoLevel} {
+		for _, n := range []int{50, 64} {
+			job, err := PrepareCholesky(RandomSPD(n, 9), Options{Layout: kind, Block: 16, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := rt.Run(job.Graph(), job.Policy(), rt.Options{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := job.Finish(res).L
+			d := job.cg.Layout.ToDense()
+			for j := 0; j < n; j++ {
+				for i := 0; i < n; i++ {
+					want := 0.0
+					if i >= j {
+						want = d.At(i, j)
+					}
+					if math.Float64bits(got.At(i, j)) != math.Float64bits(want) {
+						t.Fatalf("%v n=%d: L(%d,%d) = %v want %v", kind, n, i, j, got.At(i, j), want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -263,8 +263,7 @@ func (j *FactorJob) Policy() sched.Policy { return j.Opt.policy() }
 // Finish assembles the Factorization after the graph has executed to
 // completion with the given runtime result.
 func (j *FactorJob) Finish(res rt.Result) *Factorization {
-	perm := j.cg.FinishPermutation()
-	lf, uf := ExtractLU(j.cg.Layout)
+	perm, lf, uf := dag.FinishLU(j.cg.Layout, j.cg.StepSwaps)
 	return &Factorization{
 		Perm:     perm,
 		L:        lf,
@@ -273,31 +272,6 @@ func (j *FactorJob) Finish(res rt.Result) *Factorization {
 		Counters: res.Counters,
 		Stats:    j.cg.ComputeStats(),
 	}
-}
-
-// ExtractLU reads the packed factors out of a factored layout: L is the
-// unit lower trapezoid, U the upper trapezoid.
-func ExtractLU(l layout.Layout) (*mat.Dense, *mat.Dense) {
-	d := l.ToDense()
-	m, n := d.Rows, d.Cols
-	r := min(m, n)
-	lf := mat.New(m, r)
-	uf := mat.New(r, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			v := d.At(i, j)
-			if i > j && j < r {
-				lf.Set(i, j, v)
-			}
-			if i <= j && i < r {
-				uf.Set(i, j, v)
-			}
-		}
-	}
-	for i := 0; i < r; i++ {
-		lf.Set(i, i, 1)
-	}
-	return lf, uf
 }
 
 // Residual returns the normalized backward error
@@ -389,36 +363,18 @@ func SolveResidual(a *mat.Dense, x, b []float64) float64 {
 // pivot column yields a *kernel.SingularError.
 func ReferenceLU(a *mat.Dense) (*Factorization, error) {
 	m, n := a.Rows, a.Cols
-	work := a.Clone()
-	r := min(m, n)
-	pivots := make([]int, r)
-	v := kernel.View{Rows: m, Cols: n, Stride: work.Stride, Data: work.Data}
-	if err := kernel.RecursiveLU(v, pivots); err != nil {
+	// One block spanning the whole matrix: RecursiveLU applies its
+	// swaps to full rows, so nothing is left for FinishLU to defer.
+	l := layout.NewColMajor(a, max(m, n, 1), layout.Grid{PR: 1, PC: 1})
+	pivots := make([]int, min(m, n))
+	if err := kernel.RecursiveLU(l.Block(0, 0), pivots); err != nil {
 		return nil, err
 	}
-	perm := make([]int, m)
-	for i := range perm {
-		perm[i] = i
-	}
+	swaps := make([][2]int, len(pivots))
 	for k, p := range pivots {
-		perm[k], perm[p] = perm[p], perm[k]
+		swaps[k] = [2]int{k, p}
 	}
-	lf := mat.New(m, r)
-	uf := mat.New(r, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			x := work.At(i, j)
-			if i > j && j < r {
-				lf.Set(i, j, x)
-			}
-			if i <= j && i < r {
-				uf.Set(i, j, x)
-			}
-		}
-	}
-	for i := 0; i < r; i++ {
-		lf.Set(i, i, 1)
-	}
+	perm, lf, uf := dag.FinishLU(l, [][][2]int{swaps})
 	return &Factorization{Perm: perm, L: lf, U: uf}, nil
 }
 

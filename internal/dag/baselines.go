@@ -176,28 +176,6 @@ func BuildGEPP(l layout.Layout, opt GEPPOptions) *GEPPGraph {
 	return gg
 }
 
-// FinishPermutation mirrors CALUGraph.FinishPermutation for the GEPP
-// baseline: assembles the global permutation and applies the deferred
-// left swaps.
-func (gg *GEPPGraph) FinishPermutation() []int {
-	m, _, _ := gg.Layout.Dims()
-	perm := make([]int, m)
-	for i := range perm {
-		perm[i] = i
-	}
-	for k, swaps := range gg.StepSwaps {
-		for _, sw := range swaps {
-			perm[sw[0]], perm[sw[1]] = perm[sw[1]], perm[sw[0]]
-		}
-		for j := 0; j < k; j++ {
-			for _, sw := range swaps {
-				gg.Layout.SwapRows(j, sw[0], sw[1])
-			}
-		}
-	}
-	return perm
-}
-
 // IncPivGraph is the task graph of tiled LU with incremental pivoting,
 // the algorithm behind PLASMA's dgetrf_incpiv (section 5.3): pivoting
 // is confined to tile pairs, which removes the panel factorization from

@@ -362,28 +362,72 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 	return cg
 }
 
-// FinishPermutation assembles the global row permutation from the
-// per-step swap sequences (perm[i] = original row now living at row i)
-// and applies the deferred swaps to the left part of L stored in the
-// layout (Algorithm 1, line 43: L <- Pi_N ... Pi_1 L). Must be called
-// after the graph has executed in real mode.
-func (cg *CALUGraph) FinishPermutation() []int {
-	m, _, _ := cg.Layout.Dims()
-	perm := make([]int, m)
+// FinishLU assembles PA = LU from a layout factored in place by a CALU
+// or GEPP graph and the per-step row interchanges steps[k] the graph
+// recorded: perm[i] is the original row now at row i, L is the m x r
+// unit lower trapezoid and U the r x n upper trapezoid, r = min(m,n).
+//
+// Step k's swaps still have to reach the finished block columns
+// 0..k-1 (Algorithm 1, line 43: L <- Pi_N ... Pi_1 L). Instead of
+// swapping them into the layout, the finisher reads through them: for
+// block column j, the rows below its diagonal block row take the swaps
+// of steps > j, which it composes into one row-source map. Everything
+// else is a bulk column copy out of the block views, and the layout is
+// left as the graph wrote it.
+func FinishLU(l layout.Layout, steps [][][2]int) (perm []int, lf, uf *mat.Dense) {
+	m, n, b := l.Dims()
+	mb, nb := l.Blocks()
+	r := min(m, n)
+	perm = make([]int, m)
+	src := make([]int, m)
 	for i := range perm {
 		perm[i] = i
 	}
-	for k, swaps := range cg.StepSwaps {
+	for _, swaps := range steps {
 		piv.ApplySwapsToPerm(perm, swaps)
-		// Deferred left application: step k's swaps touch block columns
-		// 0..k-1, which hold finished columns of L.
-		for j := 0; j < k; j++ {
-			for _, sw := range swaps {
-				cg.Layout.SwapRows(j, sw[0], sw[1])
+	}
+	lf, uf = mat.New(m, r), mat.New(r, n)
+	views := make([]kernel.View, mb)
+	// moved lists the rows whose source is not themselves, with the
+	// block row and offset of that source.
+	var moved [][3]int
+	for j := 0; j < nb && j*b < r; j++ {
+		// Rows [top, m) of block column j still lack the swaps of steps
+		// > j. Those swaps only touch rows >= top, so the U part and the
+		// top of L above it copy straight out of the layout.
+		top := min((j+1)*b, m)
+		for i := top; i < m; i++ {
+			src[i] = i
+		}
+		for k := j + 1; k < len(steps); k++ {
+			piv.ApplySwapsToPerm(src, steps[k])
+		}
+		moved = moved[:0]
+		for i := top; i < m; i++ {
+			if s := src[i]; s != i {
+				moved = append(moved, [3]int{i, s / b, s % b})
+			}
+		}
+		for i := range views {
+			views[i] = l.Block(i, j)
+		}
+		for c := j * b; c < min((j+1)*b, r); c++ {
+			layout.ReadCol(l, uf.Col(c)[:c+1], c, 0)
+			lcol := lf.Col(c)
+			lcol[c] = 1
+			layout.ReadCol(l, lcol[c+1:], c, c+1)
+			jj := c - j*b
+			for _, mv := range moved {
+				v := views[mv[1]]
+				lcol[mv[0]] = v.Data[jj*v.Stride+mv[2]]
 			}
 		}
 	}
-	return perm
+	// Columns past r belong to U alone and took every swap in place.
+	for c := r; c < n; c++ {
+		layout.ReadCol(l, uf.Col(c), c, 0)
+	}
+	return perm, lf, uf
 }
 
 // blockSpanOf mirrors layout's internal block span helper.

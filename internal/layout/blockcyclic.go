@@ -25,32 +25,26 @@ type BlockCyclic struct {
 // NewBlockCyclic copies src into a block cyclic layout with block size
 // b over grid g.
 func NewBlockCyclic(src *mat.Dense, b int, g Grid) *BlockCyclic {
-	if b <= 0 {
-		panic("layout: block size must be positive")
-	}
-	l := &BlockCyclic{m: src.Rows, n: src.Cols, b: b, grid: g}
+	return New(BCL, src, b, g).(*BlockCyclic)
+}
+
+// newBlockCyclic allocates a zero m x n block cyclic layout. Worker w's
+// submatrix is as tall as the block rows of grid row w%PR and as wide
+// as the block columns of grid column w/PR, so one pass over each
+// dimension sizes every worker.
+func newBlockCyclic(m, n, b int, g Grid) *BlockCyclic {
+	l := &BlockCyclic{m: m, n: n, b: b, grid: g}
 	mb, nb := l.Blocks()
+	rows, cols := make([]int, g.PR), make([]int, g.PC)
+	for i := 0; i < mb; i++ {
+		rows[i%g.PR] += blockSpan(i, b, m)
+	}
+	for j := 0; j < nb; j++ {
+		cols[j%g.PC] += blockSpan(j, b, n)
+	}
 	l.sub = make([]*mat.Dense, g.Workers())
 	for w := range l.sub {
-		wr, wc := w%g.PR, w/g.PR
-		rows, cols := 0, 0
-		for i := wr; i < mb; i += g.PR {
-			rows += blockSpan(i, b, l.m)
-		}
-		for j := wc; j < nb; j += g.PC {
-			cols += blockSpan(j, b, l.n)
-		}
-		l.sub[w] = mat.New(rows, cols)
-	}
-	for i := 0; i < mb; i++ {
-		for j := 0; j < nb; j++ {
-			dst := l.Block(i, j)
-			for jj := 0; jj < dst.Cols; jj++ {
-				for ii := 0; ii < dst.Rows; ii++ {
-					dst.Data[jj*dst.Stride+ii] = src.At(i*b+ii, j*b+jj)
-				}
-			}
-		}
+		l.sub[w] = mat.New(rows[w%g.PR], cols[w/g.PR])
 	}
 	return l
 }

@@ -17,10 +17,12 @@ type ColMajor struct {
 
 // NewColMajor copies src into a column-major layout with block size b.
 func NewColMajor(src *mat.Dense, b int, g Grid) *ColMajor {
-	if b <= 0 {
-		panic("layout: block size must be positive")
-	}
-	return &ColMajor{m: src.Rows, n: src.Cols, b: b, grid: g, a: src.Clone()}
+	return New(CM, src, b, g).(*ColMajor)
+}
+
+// newColMajor allocates a zero m x n column-major layout.
+func newColMajor(m, n, b int, g Grid) *ColMajor {
+	return &ColMajor{m: m, n: n, b: b, grid: g, a: mat.New(m, n)}
 }
 
 // Kind reports CM.

@@ -138,15 +138,57 @@ func numBlocks(ext, b int) int { return (ext + b - 1) / b }
 
 // New creates a layout of the given kind holding a copy of src.
 func New(kind Kind, src *mat.Dense, b int, g Grid) Layout {
+	l := alloc(kind, src.Rows, src.Cols, b, g)
+	pack(l, src)
+	return l
+}
+
+// alloc returns a zero-filled m x n layout of the given kind.
+func alloc(kind Kind, m, n, b int, g Grid) Layout {
+	if b <= 0 {
+		panic("layout: block size must be positive")
+	}
 	switch kind {
 	case CM:
-		return NewColMajor(src, b, g)
+		return newColMajor(m, n, b, g)
 	case BCL:
-		return NewBlockCyclic(src, b, g)
+		return newBlockCyclic(m, n, b, g)
 	case TwoLevel:
-		return NewTwoLevel(src, b, g)
+		return newTwoLevel(m, n, b, g)
 	}
 	panic(fmt.Sprintf("layout: unknown kind %d", int(kind)))
+}
+
+// colSegments calls f once per block that rows [i0, i1) of global
+// column c cross, with that block's storage for rows [i, i+len(seg)).
+// It is the bulk path every copy into or out of a layout takes: one
+// copy per block column segment instead of one indexed access per
+// element.
+func colSegments(l Layout, c, i0, i1 int, f func(seg []float64, i int)) {
+	_, _, b := l.Dims()
+	jb, jj := blockIndex(c, b)
+	for i := i0; i < i1; {
+		ib, off := blockIndex(i, b)
+		v := l.Block(ib, jb)
+		nr := min(v.Rows-off, i1-i)
+		p := jj*v.Stride + off
+		f(v.Data[p:p+nr], i)
+		i += nr
+	}
+}
+
+// ReadCol copies rows [i0, i0+len(dst)) of global column c of l into
+// dst without materializing the whole matrix.
+func ReadCol(l Layout, dst []float64, c, i0 int) {
+	colSegments(l, c, i0, i0+len(dst), func(seg []float64, i int) { copy(dst[i-i0:], seg) })
+}
+
+// pack copies src into the same-shaped layout l.
+func pack(l Layout, src *mat.Dense) {
+	for c := 0; c < src.Cols; c++ {
+		col := src.Col(c)
+		colSegments(l, c, 0, src.Rows, func(seg []float64, i int) { copy(seg, col[i:]) })
+	}
 }
 
 // swapViaBlocks implements SwapRows generically on top of Block.
@@ -168,18 +210,10 @@ func swapViaBlocks(l Layout, jb, r1, r2 int) {
 
 // toDenseViaBlocks implements ToDense generically on top of Block.
 func toDenseViaBlocks(l Layout) *mat.Dense {
-	m, n, b := l.Dims()
-	mb, nb := l.Blocks()
+	m, n, _ := l.Dims()
 	out := mat.New(m, n)
-	for i := 0; i < mb; i++ {
-		for j := 0; j < nb; j++ {
-			v := l.Block(i, j)
-			for jj := 0; jj < v.Cols; jj++ {
-				for ii := 0; ii < v.Rows; ii++ {
-					out.Set(i*b+ii, j*b+jj, v.Data[jj*v.Stride+ii])
-				}
-			}
-		}
+	for c := 0; c < n; c++ {
+		ReadCol(l, out.Col(c), c, 0)
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -66,6 +68,66 @@ func TestRoundTripAllKindsAllShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestPackAndToDenseBitIdentical pins the bulk edges of every layout:
+// New's packing lands each element in its block (checked element by
+// element through the views), ToDense gives the input back bit for
+// bit, and ReadCol returns any row range of any column. Empty shapes
+// pack and materialize without touching storage.
+func TestPackAndToDenseBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	shapes := [][3]int{{97, 97, 16}, {130, 75, 16}, {75, 130, 16}, {64, 64, 16}, {40, 30, 64}, {1, 9, 4}, {0, 9, 4}, {9, 0, 4}}
+	for _, kind := range allKinds {
+		for _, p := range []int{1, 2, 4, 6} {
+			for _, s := range shapes {
+				src := mat.Random(s[0], s[1], rng)
+				if s[0] > 0 && s[1] > 0 {
+					src.Set(0, 0, math.Copysign(0, -1))
+					src.Set(s[0]-1, s[1]-1, math.NaN())
+				}
+				l := New(kind, src, s[2], NewGrid(p))
+				name := fmt.Sprintf("%v %dx%d b=%d p=%d", kind, s[0], s[1], s[2], p)
+				mb, nb := l.Blocks()
+				for bi := 0; bi < mb; bi++ {
+					for bj := 0; bj < nb; bj++ {
+						v := l.Block(bi, bj)
+						for jj := 0; jj < v.Cols; jj++ {
+							for ii := 0; ii < v.Rows; ii++ {
+								if !sameBits(v.At(ii, jj), src.At(bi*s[2]+ii, bj*s[2]+jj)) {
+									t.Fatalf("%s: block (%d,%d) element (%d,%d) not packed", name, bi, bj, ii, jj)
+								}
+							}
+						}
+					}
+				}
+				d := l.ToDense()
+				for j := 0; j < s[1]; j++ {
+					for i := 0; i < s[0]; i++ {
+						if !sameBits(d.At(i, j), src.At(i, j)) {
+							t.Fatalf("%s: ToDense (%d,%d) = %v want %v", name, i, j, d.At(i, j), src.At(i, j))
+						}
+					}
+				}
+				if d.Rows != s[0] || d.Cols != s[1] {
+					t.Fatalf("%s: ToDense is %dx%d", name, d.Rows, d.Cols)
+				}
+				if s[1] == 0 {
+					continue
+				}
+				c, i0 := s[1]/2, s[0]/3
+				got := make([]float64, s[0]-i0)
+				ReadCol(l, got, c, i0)
+				for i, x := range got {
+					if !sameBits(x, src.At(i0+i, c)) {
+						t.Fatalf("%s: ReadCol(col %d, from %d)[%d] = %v", name, c, i0, i, x)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 func TestBlockViewsAliasStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))

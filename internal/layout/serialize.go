@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"repro/internal/mat"
 )
 
 // Serialization: a layout travels as a fixed header followed by its
@@ -31,7 +29,7 @@ const (
 	serializeHdrLen  = 4 + 1 + 1 + 5*4
 
 	// maxSerializedGrid bounds PR*PC on decode: a crafted header must
-	// not make NewBlockCyclic allocate per-worker submatrices for
+	// not make newBlockCyclic allocate per-worker submatrices for
 	// millions of phantom workers.
 	maxSerializedGrid = 1 << 16
 )
@@ -47,7 +45,7 @@ func EncodedLen(l Layout) int {
 func Encode(l Layout) []byte {
 	m, n, b := l.Dims()
 	g := l.Grid()
-	out := make([]byte, serializeHdrLen, EncodedLen(l))
+	out := make([]byte, EncodedLen(l))
 	copy(out, serializeMagic)
 	out[4] = serializeVersion
 	out[5] = byte(l.Kind())
@@ -58,15 +56,15 @@ func Encode(l Layout) []byte {
 	le.PutUint32(out[18:], uint32(g.PR))
 	le.PutUint32(out[22:], uint32(g.PC))
 	mb, nb := l.Blocks()
-	var buf [8]byte
+	p := serializeHdrLen
 	for i := 0; i < mb; i++ {
 		for j := 0; j < nb; j++ {
 			v := l.Block(i, j)
 			for jj := 0; jj < v.Cols; jj++ {
 				col := v.Data[jj*v.Stride : jj*v.Stride+v.Rows]
 				for _, x := range col {
-					le.PutUint64(buf[:], math.Float64bits(x))
-					out = append(out, buf[:]...)
+					le.PutUint64(out[p:], math.Float64bits(x))
+					p += 8
 				}
 			}
 		}
@@ -110,7 +108,7 @@ func Decode(data []byte) (Layout, int, error) {
 	if int64(len(data)) < need {
 		return nil, 0, fmt.Errorf("layout: truncated payload: have %d bytes, need %d for %dx%d", len(data), need, m, n)
 	}
-	l := New(kind, mat.New(m, n), b, Grid{PR: pr, PC: pc})
+	l := alloc(kind, m, n, b, Grid{PR: pr, PC: pc})
 	mb, nb := l.Blocks()
 	p := serializeHdrLen
 	for i := 0; i < mb; i++ {

@@ -28,31 +28,23 @@ type TwoLevelBlock struct {
 
 // NewTwoLevel copies src into a two-level block layout with tile size b.
 func NewTwoLevel(src *mat.Dense, b int, g Grid) *TwoLevelBlock {
-	if b <= 0 {
-		panic("layout: block size must be positive")
-	}
-	l := &TwoLevelBlock{m: src.Rows, n: src.Cols, b: b, grid: g}
-	l.mb, l.nb = numBlocks(l.m, b), numBlocks(l.n, b)
+	return New(TwoLevel, src, b, g).(*TwoLevelBlock)
+}
+
+// newTwoLevel allocates a zero m x n two-level block layout.
+func newTwoLevel(m, n, b int, g Grid) *TwoLevelBlock {
+	l := &TwoLevelBlock{m: m, n: n, b: b, grid: g}
+	l.mb, l.nb = numBlocks(m, b), numBlocks(n, b)
 	l.off = make([]int, l.mb*l.nb+1)
 	total := 0
 	for j := 0; j < l.nb; j++ {
 		for i := 0; i < l.mb; i++ {
 			l.off[i+j*l.mb] = total
-			total += blockSpan(i, b, l.m) * blockSpan(j, b, l.n)
+			total += blockSpan(i, b, m) * blockSpan(j, b, n)
 		}
 	}
 	l.off[l.mb*l.nb] = total
 	l.data = make([]float64, total)
-	for i := 0; i < l.mb; i++ {
-		for j := 0; j < l.nb; j++ {
-			dst := l.Block(i, j)
-			for jj := 0; jj < dst.Cols; jj++ {
-				for ii := 0; ii < dst.Rows; ii++ {
-					dst.Data[jj*dst.Stride+ii] = src.At(i*b+ii, j*b+jj)
-				}
-			}
-		}
-	}
 	return l
 }
 

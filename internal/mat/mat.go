@@ -70,6 +70,10 @@ func (a *Dense) Col(j int) []float64 {
 	if j < 0 || j >= a.Cols {
 		panic(fmt.Sprintf("mat: column %d out of range %d", j, a.Cols))
 	}
+	if a.Rows == 0 {
+		// A 0 x c matrix has no storage to offset into.
+		return nil
+	}
 	return a.Data[j*a.Stride : j*a.Stride+a.Rows]
 }
 
@@ -98,6 +102,9 @@ func (a *Dense) Clone() *Dense {
 func (a *Dense) CopyFrom(src *Dense) {
 	if a.Rows != src.Rows || a.Cols != src.Cols {
 		panic(fmt.Sprintf("mat: copy dimension mismatch %dx%d <- %dx%d", a.Rows, a.Cols, src.Rows, src.Cols))
+	}
+	if a.Rows == 0 {
+		return
 	}
 	for j := 0; j < a.Cols; j++ {
 		copy(a.Data[j*a.Stride:j*a.Stride+a.Rows], src.Data[j*src.Stride:j*src.Stride+a.Rows])
