@@ -213,6 +213,63 @@ func TestCandidateProfilesRespectBounds(t *testing.T) {
 	}
 }
 
+// TestCandidateBlockingFromCaches: one candidate per searched kernel,
+// with the static blocking wherever it is cache-resident and the
+// largest resident blocking where it is not. The blocking is not timed,
+// so it cannot change between two processes on one machine.
+func TestCandidateBlockingFromCaches(t *testing.T) {
+	for _, tc := range []struct {
+		c      caches
+		static bool
+	}{
+		{caches{L1: 48 << 10, L2: 2 << 20, L3: 32 << 20}, true},
+		{caches{L1: 16 << 10, L2: 128 << 10, L3: 1 << 20}, false},
+	} {
+		cands := candidateProfiles(tc.c)
+		if len(cands) != len(searchKernels()) {
+			t.Fatalf("caches %+v: %d candidates for %d kernels", tc.c, len(cands), len(searchKernels()))
+		}
+		for _, p := range cands {
+			static := p.KC == defaultKC && p.MC == defaultMC && p.NC == defaultNC
+			if static != tc.static {
+				t.Errorf("caches %+v: candidate %+v, want static blocking %v", tc.c, p, tc.static)
+			}
+		}
+	}
+}
+
+// TestKernelSwitchKeepsWorkspaces: packing buffers are sized by the
+// blocking alone, so re-applying a profile at the same blocking keeps
+// the free list (the tuner's timed turns then allocate nothing), and a
+// new blocking drops it.
+func TestKernelSwitchKeepsWorkspaces(t *testing.T) {
+	p := defaultProfile()
+	withProfile(t, p, func() {
+		putWorkspace(getWorkspace())
+		if free, _ := wsState(); free == 0 {
+			t.Fatal("free list empty after a put")
+		}
+		for name, impl := range microImpls {
+			q := p
+			q.Kernel, q.MR, q.NR = name, impl.mr, impl.nr
+			if err := applyProfile(q); err != nil {
+				t.Fatal(err)
+			}
+			if free, _ := wsState(); free == 0 {
+				t.Fatalf("switching to kernel %s at the same blocking dropped the free list", name)
+			}
+		}
+		q := p
+		q.KC = defaultKC / 2
+		if err := applyProfile(q); err != nil {
+			t.Fatal(err)
+		}
+		if free, _ := wsState(); free != 0 {
+			t.Fatalf("a new blocking kept %d stale buffers", free)
+		}
+	})
+}
+
 func TestParseCacheSize(t *testing.T) {
 	cases := map[string]int64{
 		"32K": 32 << 10, "1024K": 1 << 20, "8M": 8 << 20,

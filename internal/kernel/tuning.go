@@ -23,10 +23,10 @@ import (
 //
 // Historically kc/mc/nc were constants hand-picked for one Xeon; they
 // are now fields of a tuning Profile selected at first kernel use by a
-// cache-size probe plus a short micro-benchmark search (tuner.go), and
-// persisted per CPU signature so later processes start tuned. The
-// values below are the static defaults — the pre-tuner behaviour, and
-// what HSD_TUNE=off pins for A/B comparison.
+// cache-size probe plus a short micro-benchmark of the kernels
+// (tuner.go), and persisted per CPU signature so later processes start
+// tuned. The values below are the static defaults — the pre-tuner
+// behaviour, and what HSD_TUNE=off pins for A/B comparison.
 const (
 	defaultKC = 256
 	defaultMC = 128
@@ -130,8 +130,10 @@ var useNaiveKernels = false
 // Tuning profiles.
 
 // profileVersion invalidates persisted profiles whenever the packed
-// formats or the candidate kernels change shape.
-const profileVersion = 1
+// formats, the candidate kernels or the rules that choose among them
+// change. Version 2: the blocking comes from the cache sizes, not from
+// timing.
+const profileVersion = 2
 
 // Profile is one complete kernel configuration: the micro-kernel and
 // the three blocking levels, plus the dispatch crossovers. A Profile is
@@ -248,6 +250,7 @@ func applyProfile(p Profile) error {
 	}
 	wsMu.Lock()
 	defer wsMu.Unlock()
+	resized := kc != p.KC || mc != p.MC || nc != p.NC
 	mr, nr = impl.mr, impl.nr
 	microKernel = impl.fn
 	kc, mc, nc = p.KC, p.MC, p.NC
@@ -261,11 +264,14 @@ func applyProfile(p Profile) error {
 	activeProfile = p
 	// Stale-size buffers on the free list would under-fit the new
 	// blocking; drop them (putWorkspace also guards, so checked-out
-	// buffers returned later are dropped too).
-	for i := range wsFree {
-		wsFree[i] = nil
+	// buffers returned later are dropped too). Buffer sizes depend on
+	// the blocking alone, so a kernel switch keeps them.
+	if resized {
+		for i := range wsFree {
+			wsFree[i] = nil
+		}
+		wsFree = wsFree[:0]
 	}
-	wsFree = wsFree[:0]
 	return nil
 }
 
