@@ -200,13 +200,17 @@ type Factorization struct {
 // Factor computes the CALU factorization of a (which is not modified)
 // and returns PA = LU.
 //
-// Singular inputs degrade the same way ReferenceLU does: an exactly
-// singular tournament chunk (duplicated or zero rows confined to one
-// chunk of a panel) is absorbed by piv.Select's prefix fallback and the
-// factorization completes normally, while a matrix whose panel is rank
-// deficient as a whole — one plain GEPP would also abort on, such as an
-// exactly zero column — returns an error rather than panicking (the
-// runtime converts numerical-failure panics in tasks into errors).
+// Singular inputs degrade the same way ReferenceLU does. A matrix whose
+// panel is rank deficient as a whole — one plain GEPP would also abort
+// on, such as an exactly zero column — returns an error rather than
+// panicking (the runtime converts numerical-failure panics in tasks
+// into errors). On a one-row worker grid (PR=1: 1, 2, 3, 5 or 7
+// workers) over CM or BCL each panel is factored in place by GEPP, so
+// that is the only failure there. On grids with PR>1, and on 2l-BL, the
+// panel runs a tournament, and an exactly singular tournament chunk
+// (duplicated or zero rows confined to one chunk of a panel) is
+// absorbed by piv.Select's prefix fallback: the factorization completes
+// normally.
 func Factor(a *mat.Dense, opt Options) (*Factorization, error) {
 	job, err := PrepareFactor(a, opt)
 	if err != nil {

@@ -70,17 +70,7 @@ func BuildGEPP(l layout.Layout, opt GEPPOptions) *GEPPGraph {
 			panel.Run = func() {
 				full := cm.Block(0, 0) // whole matrix view (stride = m)
 				pv := kernel.View{Rows: rows, Cols: bw, Stride: full.Stride, Data: full.Data[base*full.Stride+base:]}
-				pivots := make([]int, pivCount)
-				if err := kernel.RecursiveLU(pv, pivots); err != nil {
-					panic(fmt.Sprintf("dag: GEPP panel %d: %v", kk, err))
-				}
-				swaps := make([][2]int, 0, pivCount)
-				for t, p := range pivots {
-					if p != t {
-						swaps = append(swaps, [2]int{base + t, base + p})
-					}
-				}
-				gg.StepSwaps[kk] = swaps
+				gg.StepSwaps[kk] = factorPanel(pv, base, "GEPP", kk)
 			}
 		}
 		if updPrev != nil {

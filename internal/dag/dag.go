@@ -24,13 +24,19 @@ type Kind uint8
 
 const (
 	// PLeaf runs GEPP on one chunk of panel rows to nominate candidates.
+	// Only TSLU panels have leaves: a one-leaf grid (PR=1 over CM or
+	// BCL) factors its panels in place in the Final task instead.
 	PLeaf Kind = iota
 	// PCombine merges two candidate sets in the tournament tree.
 	PCombine
-	// Final applies the winning swaps to the panel and factors the
-	// b x b pivot block (the end of task P in the paper's notation).
+	// Final ends task P in the paper's notation. After a tournament it
+	// applies the winning swaps to the panel and factors the b x b pivot
+	// block; on a one-leaf grid it is the whole panel: GEPP in place on
+	// the panel's rows, recording the step's swaps (the GEPP baseline's
+	// panel task is the same kind).
 	Final
-	// L computes L_IK = A_IK * U_KK^{-1} for one block row.
+	// L computes L_IK = A_IK * U_KK^{-1} for one block row after a
+	// tournament; panels factored in place need no L tasks.
 	L
 	// U applies the step's row swaps to one block column and computes
 	// U_KJ = L_KK^{-1} A_KJ (the paper's "right swap" + task U).

@@ -230,3 +230,70 @@ func TestCALUGraphStructureProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// oneLeafShapes are square, tall, wide and ragged shapes at b=64.
+var oneLeafShapes = [][2]int{{256, 256}, {257, 257}, {300, 200}, {200, 300}}
+
+// TestCALUOneLeafShape pins the in-place panel graph of one-row grids
+// (1, 2 and 3 workers) over CM and BCL: no tournament and no L tasks,
+// one Final task per step costing GEPP on the panel, for real and
+// simulation-only graphs alike.
+func TestCALUOneLeafShape(t *testing.T) {
+	for _, kind := range []layout.Kind{layout.CM, layout.BCL} {
+		for _, p := range []int{1, 2, 3} {
+			for _, s := range oneLeafShapes {
+				m, n := s[0], s[1]
+				l := layout.New(kind, mat.New(m, n), 64, layout.NewGrid(p))
+				mb, nb := l.Blocks()
+				for _, simOnly := range []bool{false, true} {
+					cg := BuildCALU(l, CALUOptions{NstaticCols: 2, Group: 3, SimOnly: simOnly})
+					if err := cg.Validate(); err != nil {
+						t.Fatalf("%v p=%d %dx%d: %v", kind, p, m, n, err)
+					}
+					st := cg.ComputeStats()
+					if st.ByKind[PLeaf] != 0 || st.ByKind[PCombine] != 0 || st.ByKind[L] != 0 {
+						t.Errorf("%v p=%d %dx%d sim=%v: leaves=%d combines=%d L=%d, want none",
+							kind, p, m, n, simOnly, st.ByKind[PLeaf], st.ByKind[PCombine], st.ByKind[L])
+					}
+					if st.ByKind[Final] != min(mb, nb) {
+						t.Errorf("%v p=%d %dx%d sim=%v: %d Final tasks want %d", kind, p, m, n, simOnly, st.ByKind[Final], min(mb, nb))
+					}
+					for _, task := range cg.Tasks {
+						if task.Kind != Final {
+							continue
+						}
+						rows, bw := m-task.K*64, min(64, n-task.K*64)
+						if want := geppFlops(rows, bw); task.Flops != want || want <= 0 {
+							t.Errorf("%v p=%d %dx%d: panel %d costs %g flops want %g", kind, p, m, n, task.K, task.Flops, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCALUTournamentShape: 2l-BL on a one-row grid, and BCL or CM with
+// explicit Chunks > 1, keep the TSLU tournament with its leaves and L
+// tasks.
+func TestCALUTournamentShape(t *testing.T) {
+	cases := []struct {
+		kind   layout.Kind
+		chunks int
+	}{{layout.TwoLevel, 0}, {layout.BCL, 2}, {layout.CM, 2}}
+	for _, c := range cases {
+		for _, s := range oneLeafShapes {
+			l := layout.New(c.kind, mat.New(s[0], s[1]), 64, layout.NewGrid(2))
+			cg := BuildCALU(l, CALUOptions{NstaticCols: 2, Chunks: c.chunks})
+			if err := cg.Validate(); err != nil {
+				t.Fatalf("%v chunks=%d %v: %v", c.kind, c.chunks, s, err)
+			}
+			st := cg.ComputeStats()
+			mb, nb := l.Blocks()
+			if st.ByKind[PLeaf] == 0 || st.ByKind[L] == 0 || st.ByKind[Final] != min(mb, nb) {
+				t.Errorf("%v chunks=%d %v: leaves=%d L=%d Final=%d, want a tournament per step",
+					c.kind, c.chunks, s, st.ByKind[PLeaf], st.ByKind[L], st.ByKind[Final])
+			}
+		}
+	}
+}

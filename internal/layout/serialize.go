@@ -30,8 +30,16 @@ const (
 
 	// maxSerializedGrid bounds PR*PC on decode: a crafted header must
 	// not make newBlockCyclic allocate per-worker submatrices for
-	// millions of phantom workers.
+	// millions of phantom workers. PR and PC are checked one by one
+	// first, so their product cannot wrap.
 	maxSerializedGrid = 1 << 16
+
+	// maxEmptyExtent bounds the nonzero dimension of an empty (m x 0 or
+	// 0 x n) frame on decode. Such a frame carries no values, so its
+	// payload cannot vouch for its block grid: a crafted 0 x 2^30
+	// header must not make alloc (and later ToDense) walk 2^30 block
+	// columns. Capping the extent caps the block grid too.
+	maxEmptyExtent = 1 << 16
 )
 
 // EncodedLen returns the exact byte length Encode produces for l.
@@ -101,13 +109,17 @@ func Decode(data []byte) (Layout, int, error) {
 	if b < 1 {
 		return nil, 0, fmt.Errorf("layout: non-positive block size %d", b)
 	}
-	if pr < 1 || pc < 1 || pr*pc > maxSerializedGrid {
+	if pr < 1 || pc < 1 || pr > maxSerializedGrid || pc > maxSerializedGrid || pr*pc > maxSerializedGrid {
 		return nil, 0, fmt.Errorf("layout: implausible %dx%d worker grid", pr, pc)
 	}
-	need := int64(serializeHdrLen) + 8*int64(m)*int64(n)
-	if int64(len(data)) < need {
-		return nil, 0, fmt.Errorf("layout: truncated payload: have %d bytes, need %d for %dx%d", len(data), need, m, n)
+	// Compare by division: 8*m*n can overflow int64 for 32-bit m and n.
+	if vals := (len(data) - serializeHdrLen) / 8; n > 0 && m > vals/n {
+		return nil, 0, fmt.Errorf("layout: truncated payload: have %d bytes for %dx%d", len(data), m, n)
 	}
+	if (m == 0 || n == 0) && m+n > maxEmptyExtent {
+		return nil, 0, fmt.Errorf("layout: implausible empty %dx%d frame (%dx%d blocks of %d)", m, n, numBlocks(m, b), numBlocks(n, b), b)
+	}
+	need := serializeHdrLen + 8*m*n
 	l := alloc(kind, m, n, b, Grid{PR: pr, PC: pc})
 	mb, nb := l.Blocks()
 	p := serializeHdrLen
@@ -123,5 +135,5 @@ func Decode(data []byte) (Layout, int, error) {
 			}
 		}
 	}
-	return l, int(need), nil
+	return l, need, nil
 }

@@ -1,9 +1,12 @@
 package layout
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/mat"
 )
@@ -167,4 +170,72 @@ func TestSerializeRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: Decode accepted corrupt input", name)
 		}
 	}
+}
+
+// header builds a bare HSDL header with the given fields and no
+// payload.
+func header(kind Kind, m, n, b, pr, pc uint32) []byte {
+	h := make([]byte, serializeHdrLen)
+	copy(h, serializeMagic)
+	h[4] = serializeVersion
+	h[5] = byte(kind)
+	for i, v := range []uint32{m, n, b, pr, pc} {
+		binary.LittleEndian.PutUint32(h[6+4*i:], v)
+	}
+	return h
+}
+
+// TestDecodeRejectsUnjustifiedGrid: a 26-byte header whose block grid
+// no payload pays for — an empty 0 x 2^30 frame, or 32-bit dimensions
+// whose byte count overflows, or a worker grid whose size does — is an
+// error before anything is allocated, for every kind.
+func TestDecodeRejectsUnjustifiedGrid(t *testing.T) {
+	for _, kind := range []Kind{CM, BCL, TwoLevel} {
+		for name, h := range map[string][]byte{
+			"0x2^30":        header(kind, 0, 1<<30, 1, 1, 1),
+			"2^30x0":        header(kind, 1<<30, 0, 1, 1, 1),
+			"0x2^30 b=2^20": header(kind, 0, 1<<30, 1<<20, 1, 2),
+			"overflow":      header(kind, math.MaxUint32, math.MaxUint32, 1, 1, 1),
+			"wrapping grid": header(kind, 0, 0, 1, math.MaxUint32, math.MaxUint32),
+		} {
+			start := time.Now()
+			_, _, err := Decode(h)
+			if err == nil {
+				t.Errorf("%v %s: Decode accepted a header with no payload", kind, name)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%v %s: Decode took %v to reject", kind, name, d)
+			}
+		}
+	}
+}
+
+// TestSerializeEmptyRoundTrip: the m x 0 and 0 x n frames Encode
+// produces still decode.
+func TestSerializeEmptyRoundTrip(t *testing.T) {
+	for _, kind := range []Kind{CM, BCL, TwoLevel} {
+		for _, s := range [][2]int{{0, 0}, {0, 5}, {7, 0}, {0, maxEmptyExtent}} {
+			roundTrip(t, New(kind, mat.New(s[0], s[1]), 2, NewGrid(2)))
+		}
+	}
+}
+
+// FuzzDecode: Decode either fails or consumed exactly the bytes that
+// Encode writes for the layout it returned.
+func FuzzDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, kind := range []Kind{CM, BCL, TwoLevel} {
+		f.Add(Encode(New(kind, mat.Random(5, 3, rng), 2, NewGrid(2))))
+		f.Add(Encode(New(kind, mat.New(0, 4), 3, NewGrid(1))))
+		f.Add(header(kind, 0, 1<<30, 1, 1, 1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, n, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if enc := Encode(l); !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("decoded %d bytes re-encode to %d different bytes", n, len(enc))
+		}
+	})
 }
